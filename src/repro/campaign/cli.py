@@ -18,8 +18,8 @@ Subcommands:
   ``,`` separates mixes), and ``--dtm`` then sweeps *chip-level* policies
   (``none``, ``core_migration``, ``chip_dvfs``).  ``--timing-mode
   auto|fast|reference`` selects the engine timing path (the vectorized
-  fast path is byte-identical to the per-uop golden reference wherever
-  ``auto`` picks it);
+  fast path is byte-identical to the per-uop golden reference; ``auto``
+  picks it for every cell but shared-LLC contention);
 * ``cache`` — housekeeping for an on-disk result cache, which since the
   two-stage simulation core also holds activity-trace artifacts:
   ``cache stats --cache-dir DIR`` prints entry/byte counts by kind, and
@@ -856,9 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "fast", "reference"),
         default=None,
         help="engine timing path: 'auto' (default) takes the vectorized fast "
-        "path whenever it is byte-identical to the per-uop reference, "
-        "'reference' forces the golden per-uop loop, 'fast' demands the "
-        "fast path and errors on configurations it cannot reproduce",
+        "path (byte-identical to the per-uop reference) for every cell but "
+        "shared-LLC contention, 'reference' forces the golden per-uop loop, "
+        "'fast' demands the fast path and errors on contended cells",
     )
     run.add_argument(
         "--replay-mode",

@@ -58,7 +58,12 @@ from repro.dtm.policies import DTMObservation, DTMPolicy, make_policy
 from repro.isa.microops import MicroOp
 from repro.power.energy import build_block_parameters
 from repro.sim import blocks
-from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
+from repro.sim.activity_trace import (
+    ActivityTrace,
+    TraceRecorder,
+    fast_timing_unavailable_reason,
+    timing_feedback_reason,
+)
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
 from repro.sim.engine import PhysicsStage, TimingStage
@@ -338,8 +343,8 @@ class ChipEngine:
 
         # Shared-LLC / memory-bandwidth contention (repro.chip.contention).
         # Parsed before the timing-mode selection below: a contended run
-        # couples threads through memory latency, so ``replay_safe_reason``
-        # must already see it.
+        # couples threads through memory latency, which keeps it off both
+        # replay (``replay_safe_reason``) and the fast timing path.
         if isinstance(contention, str) or contention is None:
             contention = make_contention(contention)
         self.contention: Optional[ContentionConfig] = contention
@@ -403,12 +408,12 @@ class ChipEngine:
 
         # --------------------------------------------------------------
         # Timing-mode selection.  Same contract as the single-core engine:
-        # the fast path only claims configurations it reproduces
-        # byte-for-byte, so any physics-to-timing feedback (which on a chip
-        # includes temperature-actuating chip or per-core policies — the
-        # exact set ``replay_safe_reason`` already polices) falls back to
-        # the per-uop golden reference, as does a workload that cannot be
-        # batch-decoded.
+        # thermal feedback (thermal-aware mapping, temperature-actuating
+        # chip or per-core policies, migration) reaches timing only between
+        # intervals, so it stays on the fast path; it is only barred from
+        # replay (``replay_safe_reason``).  The structural gate sends just
+        # shared-LLC contention and streaming workloads to the per-uop
+        # reference.
         # --------------------------------------------------------------
         if timing_mode not in ("auto", "fast", "reference"):
             raise ValueError(
@@ -420,11 +425,7 @@ class ChipEngine:
         if timing_mode == "reference":
             fallback = "timing_mode='reference' requested"
         else:
-            fallback = self.replay_safe_reason
-            if fallback is None and not all(
-                isinstance(source, Sequence) for source in uop_sources
-            ):
-                fallback = "streaming uop source cannot be batch-decoded"
+            fallback = fast_timing_unavailable_reason(uop_sources, self.contention)
             if timing_mode == "fast" and fallback is not None:
                 raise ValueError(
                     f"timing_mode='fast' is not applicable: {fallback}"

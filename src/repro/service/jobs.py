@@ -8,6 +8,9 @@ the terminal error (if any) and — once done — the full results payload
 (per-variant, per-benchmark serialized :class:`~repro.sim.results.
 SimulationResult` dictionaries, exactly what :func:`repro.sim.serialization.
 result_to_dict` produces for a local :func:`~repro.campaign.run_campaign`).
+A finished job keeps that payload only as its encoded JSON bytes, about half
+the memory of the decoded dictionaries; :meth:`Job.to_json` splices them
+into the HTTP response without re-encoding.
 
 Every observable change appends a monotonically numbered *event* to the
 job's event log; :meth:`Job.events_since` is the long-poll primitive the
@@ -19,6 +22,7 @@ single registry the server, the dispatcher and the metrics endpoint share.
 from __future__ import annotations
 
 import enum
+import json
 import threading
 import time
 from typing import Dict, List, Optional
@@ -73,8 +77,8 @@ class Job:
         self.cells_replayed = 0
         self.cache_hits = 0
         self.traces_captured = 0
-        #: Per-variant results payload, set on DONE.
-        self.results: Optional[Dict] = None
+        #: Per-variant results payload as encoded JSON, set on DONE.
+        self._results_json: Optional[bytes] = None
         #: Executor description + outcome describe() line, set on DONE.
         self.outcome_description: Optional[str] = None
         self._cancel = threading.Event()
@@ -146,8 +150,9 @@ class Job:
         self._transition(JobState.RUNNING)
 
     def mark_done(self, results: Dict, description: str, counters: Dict) -> None:
+        encoded = json.dumps(results).encode("utf-8")
         with self._lock:
-            self.results = results
+            self._results_json = encoded
             self.outcome_description = description
             self.cells_simulated = counters.get("cells_executed", self.cells_simulated)
             self.cells_replayed = counters.get("cells_replayed", self.cells_replayed)
@@ -211,26 +216,50 @@ class Job:
     # ------------------------------------------------------------------
     # HTTP payloads
     # ------------------------------------------------------------------
+    @property
+    def results(self) -> Optional[Dict]:
+        """The per-variant results payload (decoded afresh), set on DONE."""
+        encoded = self._results_json
+        return None if encoded is None else json.loads(encoded)
+
+    def to_json(self, include_results: bool = False) -> bytes:
+        """:meth:`to_payload` encoded as JSON, splicing in the stored results.
+
+        Byte-identical to ``json.dumps(self.to_payload(include_results))``,
+        without decoding and re-encoding the results on every request.
+        """
+        with self._lock:
+            head = json.dumps(self._payload_locked()).encode("utf-8")
+            encoded = self._results_json
+        if not include_results or encoded is None:
+            return head
+        return head[:-1] + b', "results": ' + encoded + b"}"
+
     def to_payload(self, include_results: bool = False) -> Dict:
         with self._lock:
-            payload: Dict = {
-                "id": self.id,
-                "state": self.state.value,
-                "tenant": self.tenant,
-                "campaign": self.campaign.name,
-                "created_at": self.created_at,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "cancel_requested": self._cancel.is_set(),
-            }
-            payload.update(self._progress_locked())
-            if self.error is not None:
-                payload["error"] = self.error
-            if self.outcome_description is not None:
-                payload["description"] = self.outcome_description
-            if include_results and self.results is not None:
-                payload["results"] = self.results
-            return payload
+            payload = self._payload_locked()
+            encoded = self._results_json
+        if include_results and encoded is not None:
+            payload["results"] = json.loads(encoded)
+        return payload
+
+    def _payload_locked(self) -> Dict:
+        payload: Dict = {
+            "id": self.id,
+            "state": self.state.value,
+            "tenant": self.tenant,
+            "campaign": self.campaign.name,
+            "created_at": self.created_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "cancel_requested": self._cancel.is_set(),
+        }
+        payload.update(self._progress_locked())
+        if self.error is not None:
+            payload["error"] = self.error
+        if self.outcome_description is not None:
+            payload["description"] = self.outcome_description
+        return payload
 
 
 class JobStore:

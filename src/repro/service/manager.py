@@ -325,8 +325,11 @@ class CampaignService:
             target=self._run_job, args=(job,), name=f"repro-job-{job.id}", daemon=True
         )
         with self._threads_lock:
+            # Finished job threads are dropped here so a long-lived service
+            # holds only the threads of jobs still pending or running.
+            self._job_threads = [t for t in self._job_threads if t.is_alive()]
+            thread.start()
             self._job_threads.append(thread)
-        thread.start()
         return job
 
     def job(self, job_id: int) -> Optional[Job]:

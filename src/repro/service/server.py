@@ -68,7 +68,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # Response plumbing
     # ------------------------------------------------------------------
     def _send_json(self, status: int, payload: Dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"))
+
+    def _send_body(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -107,7 +109,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._error(404, f"no such job: {match.group(1)}")
                 return
             include_results = query.get("results") in ("1", "true", "yes")
-            self._send_json(200, job.to_payload(include_results=include_results))
+            self._send_body(200, job.to_json(include_results=include_results))
             return
         match = _EVENTS_PATH.match(path)
         if match:

@@ -19,7 +19,11 @@ from repro.sim.config import (
     ThermalConfig,
     SteeringPolicy,
 )
-from repro.sim.activity_trace import ActivityTrace, timing_feedback_reason
+from repro.sim.activity_trace import (
+    ActivityTrace,
+    fast_timing_unavailable_reason,
+    timing_feedback_reason,
+)
 from repro.sim.block_index import BlockIndex
 from repro.sim.processor import Processor
 from repro.sim.results import SimulationResult
@@ -41,5 +45,6 @@ __all__ = [
     "SimulationResult",
     "ActivityCounters",
     "SimulationStats",
+    "fast_timing_unavailable_reason",
     "timing_feedback_reason",
 ]

@@ -22,7 +22,10 @@ a temperature.  :func:`timing_feedback_reason` is the single authority on
 that: thermal-aware bank mapping and feedback-bearing DTM policies couple
 temperatures back into timing, so such cells must never be captured or
 replayed (the campaign layer falls back to the exact coupled path
-automatically).
+automatically).  Coupling is no obstacle to the *fast* timing path, though:
+temperatures reach timing only at interval boundaries, through hooks every
+timing implementation shares.  :func:`fast_timing_unavailable_reason` is the
+separate, structural gate for that choice.
 
 Traces serialize to canonical JSON (:meth:`ActivityTrace.to_json`): two
 specs that differ only in physics-side parameters produce *byte-identical*
@@ -39,7 +42,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,9 +76,11 @@ def timing_feedback_reason(config, dtm_policy: Optional[str] = None) -> Optional
       clock gating, DVFS — everything except the explicit no-op policy,
       see :attr:`repro.dtm.policies.DTMPolicy.feedback`).
 
-    Returns a human-readable reason for the coupled fallback, or ``None``
-    when the cell is safe to capture and replay.  ``dtm_policy`` is a
-    :func:`repro.dtm.make_policy` spec string (or ``None``).
+    Returns a human-readable reason the cell must run coupled, or ``None``
+    when it is safe to capture and replay.  ``dtm_policy`` is a
+    :func:`repro.dtm.make_policy` spec string (or ``None``).  This is the
+    *replay* gate only: a coupled cell still runs on fast or native timing
+    unless :func:`fast_timing_unavailable_reason` says otherwise.
     """
     if config.frontend.trace_cache.thermal_aware_mapping:
         return "thermal-aware bank mapping steers fetch by temperature"
@@ -87,6 +92,35 @@ def timing_feedback_reason(config, dtm_policy: Optional[str] = None) -> Optional
         policy = make_policy(dtm_policy)
         if policy.feedback:
             return f"DTM policy {policy.name!r} actuates on temperatures"
+    return None
+
+
+def fast_timing_unavailable_reason(
+    uop_sources: Sequence[Iterable], contention=None
+) -> Optional[str]:
+    """Why a cell cannot run on the fast timing path — or ``None`` if it can.
+
+    Unlike :func:`timing_feedback_reason`, thermal feedback is no obstacle
+    here: temperatures reach timing only between intervals, through the
+    bank-management hook and the fetch-gate actuators, and the fast and
+    native timing stages implement both exactly like the reference.  Coupled
+    cells therefore stay non-replayable but still run fast.  Only two limits
+    are structural:
+
+    * a streaming (non-``Sequence``) uop source — the fast path batch-decodes
+      the whole workload up front;
+    * shared-LLC contention (``contention``, a chip-level
+      :class:`~repro.chip.contention.ContentionConfig` or ``None``) — it
+      raises the UL2 miss latency between intervals, which the native core
+      does not model.
+
+    ``uop_sources`` holds one source per thread (a single-core cell passes a
+    one-element tuple).
+    """
+    if contention is not None:
+        return "shared-LLC contention adds UL2 miss latency the native core lacks"
+    if not all(isinstance(source, Sequence) for source in uop_sources):
+        return "streaming uop source cannot be batch-decoded"
     return None
 
 

@@ -31,7 +31,12 @@ Replay is only sound when temperatures never feed back into timing.
 Thermal-aware bank mapping and feedback-bearing DTM policies do exactly
 that; :func:`~repro.sim.activity_trace.timing_feedback_reason` detects them
 and such runs refuse to capture (the campaign layer falls back to the
-coupled path automatically).
+coupled path automatically).  Coupled runs still use the fast timing path:
+temperature reaches timing only between intervals, through
+:meth:`TimingStage.apply_bank_management` and the DTM fetch gate, which
+every timing implementation shares.  Only a streaming uop source (see
+:func:`~repro.sim.activity_trace.fast_timing_unavailable_reason`) forces the
+per-uop reference.
 
 Before measurement the processor is *warmed up*: the steady-state
 temperatures for the nominal average power (first interval's activity) are
@@ -65,7 +70,12 @@ from repro.isa.microops import MicroOp
 from repro.power.energy import build_block_parameters
 from repro.power.power_model import PowerModel
 from repro.sim import blocks
-from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
+from repro.sim.activity_trace import (
+    ActivityTrace,
+    TraceRecorder,
+    fast_timing_unavailable_reason,
+    timing_feedback_reason,
+)
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
 from repro.sim.processor import Processor
@@ -86,6 +96,8 @@ class TimingStage:
     vector handed to :meth:`apply_bank_management` — and only the
     thermal-aware mapping policy actually uses it, which is exactly the
     configuration :func:`timing_feedback_reason` excludes from replay.
+    The hook runs between intervals on every subclass, so such a coupled
+    run is as exact on the fast stage as on this reference one.
     """
 
     def __init__(
@@ -696,12 +708,12 @@ class SimulationEngine:
             raise ValueError("interval_cycles must be positive")
 
         # --------------------------------------------------------------
-        # Timing-mode selection.  The fast path only claims configurations
-        # it provably reproduces byte-for-byte: no physics feedback into
-        # timing (timing_feedback_reason — the same authority that gates
-        # trace replay), no temperature-actuating DTM policy, and a
-        # materialized workload it can batch-decode.  Everything else falls
-        # back to the per-uop golden reference.
+        # Timing-mode selection.  The fast path reproduces the reference
+        # byte-for-byte for every configuration, coupled ones included:
+        # thermal-aware mapping and DTM actuation reach timing only between
+        # intervals (apply_bank_management, the fetch gate).  So the gate is
+        # structural, not the replay gate: only a streaming workload, which
+        # cannot be batch-decoded, falls back to the per-uop reference.
         # --------------------------------------------------------------
         if timing_mode not in ("auto", "fast", "reference"):
             raise ValueError(
@@ -713,13 +725,7 @@ class SimulationEngine:
         if timing_mode == "reference":
             fallback = "timing_mode='reference' requested"
         else:
-            fallback = timing_feedback_reason(config)
-            if fallback is None and dtm_policy is not None and dtm_policy.feedback:
-                fallback = (
-                    f"DTM policy {dtm_policy.name!r} actuates on temperatures"
-                )
-            if fallback is None and not isinstance(uop_source, Sequence):
-                fallback = "streaming uop source cannot be batch-decoded"
+            fallback = fast_timing_unavailable_reason((uop_source,))
             if timing_mode == "fast" and fallback is not None:
                 raise ValueError(
                     f"timing_mode='fast' is not applicable: {fallback}"

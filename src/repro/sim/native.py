@@ -524,6 +524,15 @@ class NativeTraceCache:
         accesses = self.hits + self.misses
         return self.hits / accesses if accesses else 0.0
 
+    def accesses_per_bank_share(self) -> Dict[int, float]:
+        """Fraction of mapping-table entries pointing at each bank."""
+        counts = self.mapping.entries_per_bank()
+        total = sum(counts.values())
+        return {
+            bank: counts.get(bank, 0) / total
+            for bank in range(self.config.physical_banks)
+        }
+
 
 class NativeUL2:
     """Access/counter view over the C-side UL2 model."""

@@ -6,9 +6,12 @@ to be **byte-identical** to the per-uop golden reference
 (:class:`repro.sim.processor.Processor`): same :class:`SimulationStats`
 payload, same :class:`ActivityTrace` down to its canonical JSON encoding.
 These tests lock that contract across the paper's frontend organizations,
-steering policies, fetch-gate duty cycles and the chip engine — and pin the
-``timing_mode`` selector's fallback behaviour for configurations the fast
-path does not claim.
+steering policies, fetch-gate duty cycles and the chip engine.  Thermally
+coupled cells are part of the contract: every paper preset under every DTM
+policy, and a chip under every chip policy, must produce byte-identical
+result JSON on both paths.  The ``timing_mode`` selector falls back to the
+reference only for the structural limits (streaming sources, shared-LLC
+contention).
 
 The native core is exercised both ways: with the compiled backend (when a C
 compiler is available) and with the pure-Python fast loop forced via the
@@ -17,7 +20,9 @@ compiler is available) and with the pure-Python fast loop forced via the
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -30,18 +35,81 @@ from repro.core.presets import (
     distributed_frontend_config,
     distributed_rename_commit_config,
 )
+from repro.dtm import make_policy
+from repro.sim import native
+from repro.sim.activity_trace import TraceRecorder
 from repro.sim.config import SteeringPolicy
 from repro.sim.engine import SimulationEngine
 from repro.sim.fast_timing import FastProcessor
 from repro.sim.processor import Processor
+from repro.sim.serialization import result_to_dict
 from repro.workloads import decode_workload
 from repro.workloads.generator import TraceGenerator
 
 TRACE_UOPS = 2_000
 
+#: The paper's seven presets (Figures 12-14).
+PAPER_PRESETS = (
+    baseline_config,
+    distributed_rename_commit_config,
+    address_biasing_config,
+    blank_silicon_config,
+    bank_hopping_config,
+    bank_hopping_biasing_config,
+    distributed_frontend_config,
+)
+DTM_POLICIES = ("none", "fetch_throttle", "clock_gate", "dvfs", "hybrid")
+CHIP_POLICIES = ("none", "core_migration", "chip_dvfs")
+
+#: Coupled-matrix cell size: short enough to keep the matrix cheap, long
+#: enough (at this interval, to which the hop and remap periods are scaled)
+#: that every DTM policy engages, the thermal-aware presets remap and a lone
+#: thread migrates.
+MATRIX_UOPS = 1_500
+MATRIX_INTERVAL = 400
+
 
 def _uops(benchmark="gzip", seed=7, n=TRACE_UOPS):
     return TraceGenerator(benchmark, seed=seed).generate(n).uops
+
+
+def _result_json(result):
+    return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+@pytest.fixture(params=["native", "python"])
+def native_core(request, monkeypatch):
+    """Run the fast path on the compiled core, then on the Python loop."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+    else:
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    return request.param
+
+
+def _assert_core(processor, config, native_core):
+    """The fast path ran on the core ``native_core`` asked for."""
+    expected = (
+        native_core == "native"
+        and native.native_unavailable_reason(config) is None
+        and native.load_library() is not None
+    )
+    assert processor.uses_native_core == expected
+
+
+def _matrix_engine(config_factory, policy, mode):
+    config = config_factory().with_intervals(MATRIX_INTERVAL)
+    return SimulationEngine(
+        config, _uops("swim", 7, MATRIX_UOPS), "swim",
+        interval_cycles=MATRIX_INTERVAL,
+        dtm_policy=make_policy(policy),
+        timing_mode=mode,
+    )
+
+
+@lru_cache(maxsize=None)
+def _matrix_reference_json(config_factory, policy):
+    return _result_json(_matrix_engine(config_factory, policy, "reference").run())
 
 
 def _assert_equivalent(config, uops, benchmark, interval_cycles=800, max_intervals=None):
@@ -131,14 +199,40 @@ def test_fetch_gate_byte_equivalence(config_factory, on, period):
     [distributed_frontend_config, bank_hopping_biasing_config, address_biasing_config],
 )
 def test_unsupported_configurations_fall_back_to_reference(config_factory):
-    """``auto`` refuses configurations the fast path does not claim."""
-    config = config_factory()
-    engine = SimulationEngine(config, _uops(), "gzip")
-    assert engine.timing_mode == "auto"
-    assert engine.resolved_timing_mode == "reference"
-    assert engine.timing_fallback_reason is not None
-    with pytest.raises(ValueError, match="timing_mode='fast' is not applicable"):
-        SimulationEngine(config, _uops(), "gzip", timing_mode="fast")
+    """The thermal-aware presets run fast, byte-identical to the reference.
+
+    These presets were once refused by the fast path (hence the name).
+    Thermal-aware mapping only reaches timing between intervals, so ``auto``
+    now resolves to ``fast``; the cells stay non-replayable.
+    """
+    config = config_factory().with_intervals(MATRIX_INTERVAL)
+
+    def engine(mode):
+        return SimulationEngine(
+            config, _uops(), "gzip",
+            interval_cycles=MATRIX_INTERVAL, timing_mode=mode,
+        )
+
+    auto = engine("auto")
+    assert auto.timing_mode == "auto"
+    assert auto.resolved_timing_mode == "fast"
+    assert auto.timing_fallback_reason is None
+    assert _result_json(auto.run()) == _result_json(engine("reference").run())
+    assert auto.replay_safe_reason is not None
+    fast = engine("fast")
+    recorder = TraceRecorder("gzip", fast.block_index.names, MATRIX_INTERVAL)
+    with pytest.raises(ValueError, match="cannot capture an activity trace"):
+        fast.run(recorder=recorder)
+
+
+@pytest.mark.parametrize("policy", DTM_POLICIES)
+@pytest.mark.parametrize("config_factory", PAPER_PRESETS)
+def test_preset_dtm_matrix_byte_identical(config_factory, policy, native_core):
+    """Every paper preset under every DTM policy: fast == reference JSON."""
+    engine = _matrix_engine(config_factory, policy, "auto")
+    assert engine.resolved_timing_mode == "fast"
+    _assert_core(engine.processor, engine.config, native_core)
+    assert _result_json(engine.run()) == _matrix_reference_json(config_factory, policy)
 
 
 def test_streaming_source_falls_back_to_reference():
@@ -200,19 +294,52 @@ def test_chip_engine_fast_matches_reference():
     assert ref.stats.to_payload() == fast.stats.to_payload()
 
 
-def test_chip_engine_feedback_policy_falls_back():
-    """Temperature-actuating chip policies force the golden reference."""
+def _chip_engine(config_factory, chip_policy, mode):
+    """One thread on a 2-core chip: ``core_migration`` has an idle core."""
     from repro.chip.engine import ChipEngine
 
-    engine = ChipEngine(
-        baseline_config(),
-        [_uops("gzip", 7)],
-        ["gzip"],
-        interval_cycles=800,
-        chip_policy="core_migration",
+    return ChipEngine(
+        config_factory().with_intervals(MATRIX_INTERVAL),
+        [_uops("swim", 7, MATRIX_UOPS)],
+        ["swim"],
+        cores=2,
+        interval_cycles=MATRIX_INTERVAL,
+        chip_policy=chip_policy,
+        timing_mode=mode,
     )
-    assert engine.resolved_timing_mode == "reference"
-    assert engine.timing_fallback_reason is not None
+
+
+def test_chip_engine_feedback_policy_falls_back():
+    """A migrating chip policy runs fast, byte-identical to the reference.
+
+    Temperature-actuating chip policies were once sent to the reference
+    (hence the name); they are now only barred from capture and replay.
+    """
+    auto = _chip_engine(baseline_config, "core_migration", "auto")
+    assert auto.resolved_timing_mode == "fast"
+    assert auto.timing_fallback_reason is None
+    result = auto.run()
+    assert result.chip["migrations"] >= 1
+    reference = _chip_engine(baseline_config, "core_migration", "reference").run()
+    assert _result_json(result) == _result_json(reference)
+    fast = _chip_engine(baseline_config, "core_migration", "fast")
+    recorder = TraceRecorder("swim", fast.core_index.names, MATRIX_INTERVAL)
+    with pytest.raises(ValueError, match="cannot capture activity traces"):
+        fast.run(recorders=[recorder])
+
+
+@pytest.mark.parametrize("chip_policy", CHIP_POLICIES)
+@pytest.mark.parametrize(
+    "config_factory",
+    [baseline_config, address_biasing_config, distributed_frontend_config],
+)
+def test_chip_policy_matrix_byte_identical(config_factory, chip_policy, native_core):
+    """Chip policies x paper proposals on 2 cores: fast == reference JSON."""
+    fast = _chip_engine(config_factory, chip_policy, "auto")
+    assert fast.resolved_timing_mode == "fast"
+    _assert_core(fast.timings[0].processor, fast.config, native_core)
+    reference = _chip_engine(config_factory, chip_policy, "reference")
+    assert _result_json(fast.run()) == _result_json(reference.run())
 
 
 def test_decode_workload_is_exported():

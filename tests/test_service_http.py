@@ -168,6 +168,15 @@ def test_repeat_submission_hits_the_shared_cache(stack):
     assert client.metrics()["cache"]["hit_rate"] > 0
 
 
+def test_finished_job_threads_are_pruned_on_submit(stack):
+    service, _, client = stack
+    for _ in range(3):
+        client.wait(client.submit(SPEC)["id"], timeout=180)
+    client.submit(SPEC)
+    # The new job's thread, plus at most the last one if it is still exiting.
+    assert len(service._job_threads) <= 2
+
+
 def test_tenants_share_the_content_addressed_cache(stack):
     _, _, client = stack
     spec_a = dict(SPEC, tenant="alpha")

@@ -1,6 +1,7 @@
 """Unit tests of the service job model: lifecycle, events, progress, ETA,
 cancellation and the job store."""
 
+import json
 import threading
 
 import pytest
@@ -95,6 +96,19 @@ def test_cached_cells_count_toward_progress(job):
     assert job.cells_done == 2
     job.record_cache_hits(0)  # no-op, no event
     assert len([e for e in job.events_since(0) if e["event"] == "progress"]) == 1
+
+
+def test_results_are_kept_encoded_and_spliced_into_the_json(job):
+    results = {"summaries": {"baseline": {"gzip": {"ipc": 1.25}}}, "outcome": {}}
+    assert job.results is None
+    assert job.to_json(include_results=True) == json.dumps(job.to_payload()).encode()
+    job.mark_running()
+    job.mark_done(results, "done", {})
+    assert job.results == results
+    assert job.to_payload(include_results=True)["results"] == results
+    for include in (False, True):
+        expected = json.dumps(job.to_payload(include_results=include)).encode()
+        assert job.to_json(include_results=include) == expected
 
 
 def test_cancel_pending_and_refuse_terminal(job):
