@@ -894,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--task-timeout",
         type=float,
-        help="kill a cell that runs longer than this many seconds "
-        "(process mode only)",
+        help="kill a task (one cell or one workload group) that runs "
+        "longer than this many seconds (process mode only)",
     )
     serve.add_argument(
         "--retries",

@@ -17,6 +17,12 @@ the two-stage simulation core:
    *replays* the physics stage over the shared trace — bit-identical to the
    coupled run, at array-pipeline speed.
 
+The coupled and capture cells of steps 1 and 2 ("phase 1") run as one task
+per *workload group* — the cells sharing a
+:meth:`~repro.campaign.spec.RunSpec.workload_key` — so each generated
+micro-op stream is built and decoded once per campaign, and dropped once its
+group is done.  Nothing is kept across campaigns.
+
 Fresh results are stored back into the cache, and everything folds into
 per-variant :class:`~repro.campaign.summary.ConfigurationSummary` objects —
 keyed by configuration name, or by ``"<config>@<policy>"`` when the campaign
@@ -35,10 +41,10 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.executors import (
     Executor,
     SerialExecutor,
-    execute_campaign_task,
     execute_chip_cell,
     execute_chip_replay_group,
     execute_replay_group,
+    execute_workload_group,
 )
 from repro.campaign.spec import Campaign, ExperimentSettings, RunSpec
 from repro.campaign.summary import ConfigurationSummary
@@ -150,6 +156,41 @@ def _plan_two_stage(
     return replays, phase1, cached_traces
 
 
+def _run_workload_groups(
+    executor: Executor, tasks: Sequence[Tuple[str, RunSpec]]
+) -> List[Tuple[SimulationResult, Optional[ActivityTrace]]]:
+    """Run phase-1 ``(mode, spec)`` tasks as one task per workload group.
+
+    Groups keep campaign order inside and across themselves (a group sits
+    where its first cell does); the outputs come back in ``tasks`` order, so
+    callers never see the grouping.
+    """
+    groups: Dict[Tuple[str, int, int], List[int]] = {}
+    for index, (_, spec) in enumerate(tasks):
+        groups.setdefault(spec.workload_key(), []).append(index)
+    members = list(groups.values())
+    group_tasks = [tuple(tasks[i] for i in indices) for indices in members]
+    grouped = (
+        executor.run_tasks(execute_workload_group, group_tasks) if group_tasks else []
+    )
+    if len(grouped) != len(group_tasks):
+        raise RuntimeError(
+            f"executor returned {len(grouped)} results for "
+            f"{len(group_tasks)} workload groups"
+        )
+    executor.cells_executed += len(tasks)
+    outputs: List = [None] * len(tasks)
+    for indices, group_outputs in zip(members, grouped):
+        if len(group_outputs) != len(indices):
+            raise RuntimeError(
+                f"workload group returned {len(group_outputs)} results for "
+                f"{len(indices)} cells"
+            )
+        for index, output in zip(indices, group_outputs):
+            outputs[index] = output
+    return outputs
+
+
 def run_campaign(
     campaign: Campaign,
     executor: Optional[Executor] = None,
@@ -169,6 +210,10 @@ def run_campaign(
     simulation once and replay the physics stage over the captured activity
     trace — bit-identical to the coupled path, which ``replay=False``
     forces for every cell (useful for benchmarking and equivalence tests).
+    With ``replay`` on, phase 1 (the coupled and capture cells) runs one
+    task per workload group, generating and decoding each workload once;
+    ``replay=False`` is the per-cell, from-scratch baseline in which every
+    cell generates its own.
     """
     if executor is None:
         executor = SerialExecutor()
@@ -191,21 +236,20 @@ def run_campaign(
     # capture/replay phases need the generic run_tasks primitive, so such
     # executors transparently get the historical all-coupled behaviour.
     supports_tasks = type(executor).run_tasks is not Executor.run_tasks
+    executed_before = executor.cells_executed
+    # Phase 1: coupled timing simulations (some of them capturing a trace),
+    # one task per workload group — or, without replay, one per cell.
     if replay and supports_tasks:
         replays, phase1, traces = _plan_two_stage(pending, cache)
+        outputs = _run_workload_groups(
+            executor,
+            [
+                ("capture" if key is not None else "run", spec)
+                for _, spec, key in phase1
+            ],
+        )
     else:
         replays, phase1, traces = [], [(s, spec, None) for s, spec in pending], {}
-
-    # Phase 1: coupled timing simulations (some of them capturing a trace).
-    executed_before = executor.cells_executed
-    if any(key is not None for _, _, key in phase1):
-        tasks = [
-            ("capture" if key is not None else "run", spec)
-            for _, spec, key in phase1
-        ]
-        outputs = executor.run_tasks(execute_campaign_task, tasks)
-        executor.cells_executed += len(tasks)
-    else:
         specs = [spec for _, spec, _ in phase1]
         fresh = executor.run_cells(specs) if specs else []
         outputs = [(result, None) for result in fresh]
@@ -335,14 +379,9 @@ def _run_chip_campaign(
             missing.append((key, core_spec))
     traces_captured = 0
     if missing:
-        tasks = [("capture", core_spec) for _, core_spec in missing]
-        outputs = executor.run_tasks(execute_campaign_task, tasks)
-        executor.cells_executed += len(tasks)
-        if len(outputs) != len(missing):
-            raise RuntimeError(
-                f"executor returned {len(outputs)} results for "
-                f"{len(missing)} captures"
-            )
+        outputs = _run_workload_groups(
+            executor, [("capture", core_spec) for _, core_spec in missing]
+        )
         for (key, core_spec), (result, trace) in zip(missing, outputs):
             if trace is None:
                 raise RuntimeError(

@@ -11,18 +11,25 @@ and seed all live in the spec), the backends are interchangeable:
   not of execution order), so a parallel run is metric-identical to a serial
   one.
 
-Since the two-stage simulation core landed, an executor actually runs three
-kinds of work, all module-level functions so they pickle cleanly into worker
-processes:
+Since the two-stage simulation core landed, an executor actually runs
+these kinds of work, all module-level functions so they pickle cleanly into
+worker processes:
 
 * :func:`execute_cell` — the classic coupled timing+physics simulation;
 * :func:`execute_cell_capture` — a coupled run that also records the
   timing stage's :class:`~repro.sim.activity_trace.ActivityTrace`;
-* :func:`execute_cell_replay` — a physics-only replay of a previously
-  captured trace (orders of magnitude cheaper than a coupled run).
+* :func:`execute_workload_group` — phase 1 of a replay-enabled campaign:
+  every coupled and capture cell that shares one workload
+  (:meth:`~repro.campaign.spec.RunSpec.workload_key`), run in one task that
+  generates and decodes the micro-op stream once and drops it on return;
+* :func:`execute_cell_replay` / :func:`execute_replay_group` — physics-only
+  replays of a previously captured trace (orders of magnitude cheaper than
+  a coupled run).
 
 The campaign layer routes cells between them (see
-:func:`repro.campaign.core.run_campaign`); the generic :meth:`Executor.run_tasks`
+:func:`repro.campaign.core.run_campaign`); ``replay=False`` and executors
+without ``run_tasks`` keep the per-cell, from-scratch baseline, in which
+every cell generates its own workload.  The generic :meth:`Executor.run_tasks`
 is the single fan-out primitive underneath.  ``cells_executed`` counts the
 cells that ran a *timing* simulation (coupled or capture) — replays are
 accounted separately by the campaign outcome — which the result cache's
@@ -37,9 +44,11 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.campaign.spec import RunSpec
+from repro.isa.microops import MicroOp
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.results import SimulationResult
 from repro.sim.warmcache import resolve_trace, warm_snapshot
+from repro.workloads.decode import DecodedWorkload, decode_workload
 from repro.workloads.generator import TraceGenerator
 
 _Task = TypeVar("_Task")
@@ -100,8 +109,22 @@ class ExecutorTaskError(RuntimeError):
         self.task = task
 
 
-def _build_engine(spec: RunSpec):
-    """The shared front half of the coupled execution paths."""
+def _generate_uops(benchmark: str, seed: int, trace_uops: int) -> List[MicroOp]:
+    """The materialized micro-op stream of one workload."""
+    return TraceGenerator(benchmark, seed=seed).generate(trace_uops).uops
+
+
+def _build_engine(
+    spec: RunSpec,
+    uops: Optional[Sequence[MicroOp]] = None,
+    decoded: Optional[DecodedWorkload] = None,
+):
+    """The shared front half of the coupled execution paths.
+
+    ``uops`` (and, for the fast timing path, ``decoded``) is the cell's
+    workload when a workload group already built it; otherwise the cell
+    generates its own.
+    """
     # Imported lazily: ``repro.core.presets`` imports this package to get the
     # ConfigBuilder, so pulling the engine (and through it the processor and
     # ``repro.core``) in at module-import time would be circular.
@@ -112,40 +135,51 @@ def _build_engine(spec: RunSpec):
         from repro.dtm import make_policy
 
         dtm_policy = make_policy(spec.dtm_policy)
-    generator = TraceGenerator(spec.benchmark, seed=spec.seed)
-    trace = generator.generate(spec.trace_uops)
+    if uops is None:
+        uops = _generate_uops(spec.benchmark, spec.seed, spec.trace_uops)
     return SimulationEngine(
         spec.config,
-        trace.uops,
+        uops,
         spec.benchmark,
         interval_cycles=spec.interval_cycles,
         dtm_policy=dtm_policy,
         timing_mode=resolved_timing_mode(),
+        decoded=decoded,
     )
 
 
-def execute_cell(spec: RunSpec) -> SimulationResult:
+def execute_cell(
+    spec: RunSpec,
+    uops: Optional[Sequence[MicroOp]] = None,
+    decoded: Optional[DecodedWorkload] = None,
+) -> SimulationResult:
     """Simulate one campaign cell coupled (timing + physics, one interval loop).
 
     Module-level (rather than a method) so it pickles cleanly into worker
     processes regardless of the multiprocessing start method.  The cell's
     DTM policy (if any) is instantiated *here*, from its spec string, so
     policy controller state is always fresh per cell and never needs to
-    cross a process boundary.
+    cross a process boundary.  ``uops``/``decoded`` are a prebuilt workload
+    (see :func:`execute_workload_group`); by default the cell generates its
+    own.
     """
-    result = _build_engine(spec).run()
+    result = _build_engine(spec, uops, decoded).run()
     result.provenance.update(spec.provenance())
     return result
 
 
-def execute_cell_capture(spec: RunSpec) -> Tuple[SimulationResult, ActivityTrace]:
+def execute_cell_capture(
+    spec: RunSpec,
+    uops: Optional[Sequence[MicroOp]] = None,
+    decoded: Optional[DecodedWorkload] = None,
+) -> Tuple[SimulationResult, ActivityTrace]:
     """Simulate one cell coupled *and* capture its activity trace.
 
     The result is exactly what :func:`execute_cell` produces (recording only
     observes the timing stage); the trace can replay every other cell that
     shares this spec's :meth:`~repro.campaign.spec.RunSpec.timing_key`.
     """
-    result, trace = _build_engine(spec).run_with_trace(
+    result, trace = _build_engine(spec, uops, decoded).run_with_trace(
         trace_provenance={"seed": spec.seed, "trace_uops": spec.trace_uops}
     )
     result.provenance.update(spec.provenance())
@@ -229,10 +263,16 @@ def execute_chip_cell(spec) -> SimulationResult:
     """
     from repro.chip import ChipEngine
 
-    sources = [
-        TraceGenerator(benchmark, seed=spec.seed).generate(uops).uops
-        for benchmark, uops in zip(spec.benchmarks, spec.trace_uops)
-    ]
+    # Threads running the same benchmark at the same length share one
+    # generated stream (every timing stage copies it before running).
+    workloads: Dict[Tuple[str, int], List[MicroOp]] = {}
+    sources = []
+    for benchmark, length in zip(spec.benchmarks, spec.trace_uops):
+        workload = workloads.get((benchmark, length))
+        if workload is None:
+            workload = _generate_uops(benchmark, spec.seed, length)
+            workloads[(benchmark, length)] = workload
+        sources.append(workload)
     engine = ChipEngine(
         spec.config,
         sources,
@@ -309,32 +349,74 @@ def execute_chip_replay_group(task) -> List[SimulationResult]:
 
 def execute_campaign_task(
     task: Tuple[str, RunSpec],
+    uops: Optional[Sequence[MicroOp]] = None,
+    decoded: Optional[DecodedWorkload] = None,
 ) -> Tuple[SimulationResult, Optional[ActivityTrace]]:
     """Dispatch one phase-1 campaign task: ``("run" | "capture", spec)``.
 
     One uniform function lets a single executor pass mix plain coupled
-    cells with trace-capturing ones.
+    cells with trace-capturing ones.  ``uops``/``decoded`` pass a workload
+    group's shared workload through to the cell.
     """
     mode, spec = task
     if mode == "capture":
-        return execute_cell_capture(spec)
-    return execute_cell(spec), None
+        return execute_cell_capture(spec, uops, decoded)
+    return execute_cell(spec, uops, decoded), None
+
+
+def execute_workload_group(
+    tasks: Sequence[Tuple[str, RunSpec]],
+) -> List[Tuple[SimulationResult, Optional[ActivityTrace]]]:
+    """Run every phase-1 task of one workload group over one shared workload.
+
+    ``tasks`` are ``("run" | "capture", spec)`` pairs whose specs share one
+    :meth:`~repro.campaign.spec.RunSpec.workload_key`.  The micro-op stream
+    is generated once and, unless every cell runs on the per-uop reference
+    (``REPRO_TIMING_MODE=reference``), decoded once; each task then runs in
+    order, exactly as :func:`execute_campaign_task` would run it alone (no
+    cell mutates the workload).  The workload is dropped when the group
+    returns, so each worker (a pool process, or a service thread) holds one
+    live workload at a time.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return []
+    key = tasks[0][1].workload_key()
+    for _, spec in tasks[1:]:
+        if spec.workload_key() != key:
+            raise ValueError(
+                f"workload group mixes workloads {key} and {spec.workload_key()}"
+            )
+    uops = _generate_uops(*key)
+    decoded = None
+    if resolved_timing_mode() != "reference":
+        decoded = decode_workload(uops)
+    return [execute_campaign_task(task, uops, decoded) for task in tasks]
 
 
 def _describe_task(task: object) -> str:
     """A compact human-readable identity of a failed task.
 
     Tasks take several shapes — a bare :class:`RunSpec`, a ``(mode, spec)``
-    phase-1 tuple, a ``(trace, specs)`` replay group — so this digs out the
-    spec(s) rather than dumping a full configuration repr into the error.
+    phase-1 tuple, a tuple of those (a workload group), a ``(trace, specs)``
+    replay group — so this digs out the spec(s) rather than dumping a full
+    configuration repr into the error.
     """
 
     def _spec_name(spec: object) -> str:
         config = getattr(spec, "config", None)
+        if config is None:
+            return repr(spec)
         name = getattr(config, "name", "?")
         benchmark = getattr(spec, "benchmark", "?")
         return f"{name}/{benchmark}"
 
+    if isinstance(task, (tuple, list)) and task and all(
+        isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+        for item in task
+    ):
+        names = ", ".join(_spec_name(spec) for _, spec in task)
+        return f"workload group [{names}]"
     if isinstance(task, tuple) and len(task) == 2:
         first, second = task
         if isinstance(first, str):

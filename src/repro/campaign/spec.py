@@ -221,6 +221,15 @@ class RunSpec:
         payload = json.dumps(self.key_material(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    def workload_key(self) -> Tuple[str, int, int]:
+        """``(benchmark, seed, trace_uops)``: what the cell's trace depends on.
+
+        Cells with equal keys simulate the same generated micro-op stream,
+        so the campaign's phase 1 runs them as one workload group that
+        generates and decodes the stream once.
+        """
+        return (self.benchmark, self.seed, self.trace_uops)
+
     # ------------------------------------------------------------------
     # Two-stage execution: the timing-relevant projection of a cell
     # ------------------------------------------------------------------

@@ -174,16 +174,24 @@ class Job:
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
-    def record_progress(self, kind: str, cells: int) -> None:
-        """Account ``cells`` completed by one executor task of ``kind``."""
+    def record_progress(
+        self, kind: str, cells: int, captures: Optional[int] = None
+    ) -> None:
+        """Account ``cells`` completed by one executor task of ``kind``.
+
+        ``captures`` is how many traces the task captured; by default one
+        for a ``"capture"`` task and none otherwise (a workload group passes
+        its own count).
+        """
+        if captures is None:
+            captures = 1 if kind == "capture" else 0
         with self._lock:
             self.cells_done += cells
             if kind == "replay":
                 self.cells_replayed += cells
             else:
                 self.cells_simulated += cells
-                if kind == "capture":
-                    self.traces_captured += 1
+                self.traces_captured += captures
             snapshot = self._progress_locked()
         self._append_event("progress", kind=kind, cells=cells, **snapshot)
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.core import CampaignOutcome, run_campaign
 from repro.campaign.executors import Executor
@@ -55,11 +55,12 @@ class JobCancelled(Exception):
     """Internal control-flow: the job's cancel flag was observed."""
 
 
-#: Executor-function name -> (progress kind, how to count cells in a task).
+#: Executor-function name -> progress kind (how to count cells in a task).
 _TASK_KINDS = {
     "execute_cell": "run",
     "execute_chip_cell": "run",
     "execute_campaign_task": "phase1",
+    "execute_workload_group": "workload_group",
     "execute_cell_replay": "replay",
     "execute_replay_group": "replay_group",
     "execute_chip_replay": "replay",
@@ -67,15 +68,22 @@ _TASK_KINDS = {
 }
 
 
-def _progress_of(fn, task) -> (str, int):
-    """(kind, cells) one completed task contributes to job progress."""
+def _progress_of(fn, task) -> Tuple[str, int, int]:
+    """(kind, cells, captures) one completed task contributes to job progress.
+
+    A workload group reports all its cells at once, as ``"capture"`` when
+    any of them captured a trace (one ``traces_captured`` per capture).
+    """
     kind = _TASK_KINDS.get(getattr(fn, "__name__", ""), "run")
     if kind == "phase1":
         mode = task[0] if isinstance(task, tuple) else "run"
-        return ("capture" if mode == "capture" else "run"), 1
+        return ("capture", 1, 1) if mode == "capture" else ("run", 1, 0)
+    if kind == "workload_group":
+        captures = sum(1 for mode, _ in task if mode == "capture")
+        return ("capture" if captures else "run"), len(task), captures
     if kind == "replay_group":
-        return "replay", len(task[1])
-    return kind, 1
+        return "replay", len(task[1]), 0
+    return kind, 1, 0
 
 
 class PoolBackedExecutor(Executor):
@@ -197,8 +205,8 @@ class PoolBackedExecutor(Executor):
                         self._check_cancelled()
                 results.append(result)
                 if self.job is not None:
-                    kind, cells = _progress_of(fn, task)
-                    self.job.record_progress(kind, cells)
+                    kind, cells, captures = _progress_of(fn, task)
+                    self.job.record_progress(kind, cells, captures)
             return results
         finally:
             # Unlink this fan-out's shared-memory segments.  On a cancel,

@@ -49,7 +49,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional
 
-from repro.campaign.executors import ExecutorTaskError
+from repro.campaign.executors import ExecutorTaskError, _describe_task
 from repro.sim.warmcache import ensure_shm_tracker, warm_snapshot
 
 #: Task-duration samples kept for the latency percentiles in `metrics()`.
@@ -296,13 +296,14 @@ class WorkerPool:
             except _TaskTimeout as error:
                 raise ExecutorTaskError(
                     f"task exceeded the {self.task_timeout:g}s timeout "
-                    f"({task!r})",
+                    f"({_describe_task(task)})",
                     task=task,
                 ) from error
             except _TaskCrash as error:
                 if attempt >= self.retries:
                     raise ExecutorTaskError(
-                        f"worker process died while executing {task!r} "
+                        "worker process died while executing "
+                        f"{_describe_task(task)} "
                         f"({error}; {attempt + 1} attempt(s))",
                         task=task,
                     ) from error

@@ -58,7 +58,7 @@ the golden metrics are reproduced bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,9 @@ from repro.thermal.rc_model import ThermalRCNetwork
 from repro.thermal.sensors import SensorBank
 from repro.thermal.solver import ThermalSolver
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.workloads.decode import DecodedWorkload
+
 
 class TimingStage:
     """Per-uop pipeline simulation: the processor plus its timing-side hooks.
@@ -107,6 +110,7 @@ class TimingStage:
         interval_cycles: int,
         block_index: BlockIndex,
         prewarm_caches: bool = True,
+        decoded: Optional[DecodedWorkload] = None,
     ) -> None:
         self.config = config
         self.interval_cycles = interval_cycles
@@ -128,7 +132,9 @@ class TimingStage:
             materialized = None
             uop_stream = iter(uop_source)
             self._prewarm_source = None
-        self.processor = self._build_processor(config, uop_stream, materialized)
+        self.processor = self._build_processor(
+            config, uop_stream, materialized, decoded
+        )
         if prewarm_caches and self._prewarm_source is not None:
             self._prewarm_memory(self._prewarm_source)
 
@@ -175,8 +181,13 @@ class TimingStage:
         config: ProcessorConfig,
         uop_stream: Iterator[MicroOp],
         materialized: Optional[Sequence[MicroOp]],
+        decoded: Optional[DecodedWorkload] = None,
     ) -> Processor:
-        """Instantiate the timing core (overridden by the fast path)."""
+        """Instantiate the timing core (overridden by the fast path).
+
+        ``decoded`` is the fast path's pre-decoded form of the workload; the
+        per-uop reference reads ``MicroOp`` objects and ignores it.
+        """
         return Processor(config, uop_stream)
 
     # ------------------------------------------------------------------
@@ -683,6 +694,11 @@ class SimulationEngine:
     them coupled, one thermal interval at a time.  The historical attribute
     surface (``engine.processor``, ``engine.solver``, ``engine.block_index``,
     ...) is preserved as delegating properties.
+
+    ``decoded`` optionally hands the fast timing path the workload already
+    decoded (:func:`repro.workloads.decode.decode_workload` of
+    ``uop_source``), so cells sharing one workload decode it once; the
+    reference path ignores it.
     """
 
     #: Consecutive fully clock-gated intervals after which the engine aborts:
@@ -700,6 +716,7 @@ class SimulationEngine:
         prewarm_caches: bool = True,
         dtm_policy: Optional[DTMPolicy] = None,
         timing_mode: str = "auto",
+        decoded: Optional[DecodedWorkload] = None,
     ) -> None:
         self.config = config
         self.benchmark = benchmark
@@ -746,6 +763,7 @@ class SimulationEngine:
             self.interval_cycles,
             self.physics.block_index,
             prewarm_caches=prewarm_caches,
+            decoded=decoded,
         )
 
         # --------------------------------------------------------------

@@ -178,6 +178,15 @@ class FastProcessor:
         self.registers = register_space or RegisterSpace()
         if decoded is None:
             decoded = decode_workload(uops, self.registers.num_int)
+        elif decoded.n != len(uops) or (
+            decoded.num_int_registers != self.registers.num_int
+        ):
+            raise ValueError(
+                f"decoded workload ({decoded.n} uops, "
+                f"{decoded.num_int_registers} int registers) does not match "
+                f"the uop source ({len(uops)} uops, "
+                f"{self.registers.num_int} int registers)"
+            )
         self.decoded = decoded
         fe = config.frontend
         be = config.backend
@@ -1202,10 +1211,11 @@ class FastTimingStage(TimingStage):
         config: ProcessorConfig,
         uop_stream: Iterable[MicroOp],
         materialized: Optional[Sequence[MicroOp]],
+        decoded: Optional[DecodedWorkload] = None,
     ):
         if materialized is None:
             raise ValueError(
                 "FastTimingStage needs a materialized uop sequence; "
                 "streaming sources must use the reference TimingStage"
             )
-        return FastProcessor(config, materialized)
+        return FastProcessor(config, materialized, decoded=decoded)

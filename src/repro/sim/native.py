@@ -328,20 +328,10 @@ class NativeBackend:
             _i64(processor._SCHED_FLAT),
             _i64(processor._QSEL),
             _i64(fu_flat),
-            _i64(decoded.cls_list),
-            _i64(decoded.latency_list),
-            _i64(decoded.mem_addr_list),
-            _i64(decoded.is_branch_list),
-            _i64(decoded.mispredicted_list),
-            _i64(decoded.dest_flat_list),
-            _i64(decoded.source_flats),
-            _i64(decoded.int_needed_list),
-            _i64(decoded.fp_needed_list),
-            _i64([line[0] for line in lines]),
-            _i64([line[1] for line in lines]),
-            _i64([line[2] for line in lines]),
-            _i64([line[3] for line in lines]),
-            _i64([1 if line[4] else 0 for line in lines]),
+            # The workload operands are marshalled once per decoded
+            # workload and shared by every backend built over it.
+            *decoded.native_uop_arrays(),
+            *decoded.native_line_arrays(tc.line_uops, fe.fetch_width),
         ]
         self._acc_buf = np.zeros(n_blocks, dtype=np.int64)
         arrays.append(self._acc_buf)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +134,8 @@ class DecodedWorkload:
         self.int_needed_list = ineed_l
         self.fp_needed_list = fneed_l
         self._lines_cache: Dict[Tuple[int, int], list] = {}
+        self._native_uops: Optional[Tuple[np.ndarray, ...]] = None
+        self._native_lines: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
     # Array views (derived once, on demand)
@@ -249,6 +251,62 @@ class DecodedWorkload:
             i = j
         self._lines_cache[key] = lines
         return lines
+
+    # ------------------------------------------------------------------
+    # Native-core operands (marshalled once per workload)
+    # ------------------------------------------------------------------
+    def native_uop_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The per-uop int64 arrays the compiled timing core reads.
+
+        In ``fp_create`` argument order: class code, latency, address,
+        is-branch, mispredicted, destination, ``(n, 2)`` sources, int and FP
+        registers needed.  Built on first use and shared by every native
+        backend over this workload: the core only reads them (``const``),
+        and they are marked read-only here so Python cannot write them
+        either.
+        """
+        if self._native_uops is None:
+            arrays = tuple(
+                np.ascontiguousarray(np.asarray(values, dtype=np.int64))
+                for values in (
+                    self.cls_list,
+                    self.latency_list,
+                    self.mem_addr_list,
+                    self.is_branch_list,
+                    self.mispredicted_list,
+                    self.dest_flat_list,
+                    self.source_flats,
+                    self.int_needed_list,
+                    self.fp_needed_list,
+                )
+            )
+            for array in arrays:
+                array.flags.writeable = False
+            self._native_uops = arrays
+        return self._native_uops
+
+    def native_line_arrays(
+        self, line_uops: int, fetch_width: int
+    ) -> Tuple[np.ndarray, ...]:
+        """Read-only int64 columns of :meth:`lines` for the compiled core.
+
+        Start, end, head PC, fetch cycles and the exhausted flag, built once
+        per fetch configuration (like :meth:`lines` itself).
+        """
+        key = (line_uops, fetch_width)
+        cached = self._native_lines.get(key)
+        if cached is None:
+            lines = self.lines(line_uops, fetch_width)
+            cached = tuple(
+                np.ascontiguousarray(
+                    np.asarray([int(line[field]) for line in lines], dtype=np.int64)
+                )
+                for field in range(5)
+            )
+            for array in cached:
+                array.flags.writeable = False
+            self._native_lines[key] = cached
+        return cached
 
 
 def decode_workload(

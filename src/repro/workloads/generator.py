@@ -85,11 +85,24 @@ class TraceGenerator:
         self.profile = profile
         self.seed = seed
         self.registers = register_space or RegisterSpace()
+        # Hoisted for _pick_source, the generator's hottest method.  The
+        # register tables also cover the four seed indices of the recent-
+        # destination windows below when the space is smaller than that,
+        # wrapping them exactly as ``int_reg``/``fp_reg`` do.
+        registers = self.registers
+        self._int_regs = tuple(
+            registers.int_reg(i) for i in range(max(4, registers.num_int))
+        )
+        self._fp_regs = tuple(
+            registers.fp_reg(i) for i in range(max(4, registers.num_fp))
+        )
+        self._dependency_p = 1.0 / max(1.0, profile.mean_dependency_distance)
         # ``zlib.crc32`` rather than ``hash()``: string hashing is randomized
         # per process (PYTHONHASHSEED), which would make traces — and every
         # downstream power/thermal number — differ between runs, between
         # spawn-based worker processes, and against cached campaign results.
         self._rng = random.Random(zlib.crc32(profile.name.encode("utf-8")) ^ seed)
+        self._random = self._rng.random
         self._loops = self._build_program()
         # Dynamic generation state.
         self._current_loop_index = 0
@@ -267,35 +280,35 @@ class TraceGenerator:
             self._recent_int_dests.append(index)
             if len(self._recent_int_dests) > 16:
                 self._recent_int_dests.pop(0)
-            return self.registers.int_reg(index)
+            return self._int_regs[index]
         index = self._next_fp_dest % self.registers.num_fp
         self._next_fp_dest += 1
         self._recent_fp_dests.append(index)
         if len(self._recent_fp_dests) > 16:
             self._recent_fp_dests.pop(0)
-        return self.registers.fp_reg(index)
+        return self._fp_regs[index]
 
     def _pick_source(self, reg_class: RegisterClass):
         """Pick a source register among recently produced values.
 
         The distance (in destinations) between producer and consumer follows
         a geometric distribution whose mean is the profile's
-        ``mean_dependency_distance``.
+        ``mean_dependency_distance``.  The draw order is part of the trace's
+        identity: one ``random()`` per step, checked before the window bound.
         """
-        recents = (
-            self._recent_int_dests
-            if reg_class is RegisterClass.INT
-            else self._recent_fp_dests
-        )
-        mean = self.profile.mean_dependency_distance
-        p = 1.0 / max(1.0, mean)
-        distance = 1
-        while self._rng.random() > p and distance < len(recents):
-            distance += 1
-        index = recents[-min(distance, len(recents))]
         if reg_class is RegisterClass.INT:
-            return self.registers.int_reg(index)
-        return self.registers.fp_reg(index)
+            recents = self._recent_int_dests
+            regs = self._int_regs
+        else:
+            recents = self._recent_fp_dests
+            regs = self._fp_regs
+        draw = self._random
+        p = self._dependency_p
+        count = len(recents)
+        distance = 1
+        while draw() > p and distance < count:
+            distance += 1
+        return regs[recents[-min(distance, count)]]
 
     #: Size of the per-loop hot region that sequential accesses sweep over;
     #: it is capped so that hot-region accesses mostly hit in the 16 KB L1.

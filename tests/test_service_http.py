@@ -89,6 +89,27 @@ def test_event_stream_replays_and_follows(stack):
     ]
 
 
+def test_workload_group_progress_sums_to_the_job(stack):
+    """Phase 1 runs one task per workload group; each reports its cells."""
+    _, _, client = stack
+    # Two workloads, three configs each: baseline and bank_hopping capture
+    # (a cache is attached), address_biasing runs coupled.
+    spec = dict(
+        SPEC_TWO_CELL, configs=["baseline", "bank_hopping", "address_biasing"]
+    )
+    job = client.submit(spec)
+    final = client.wait(job["id"], timeout=180)
+    assert final["state"] == "done"
+    assert final["cells_done"] == final["cells_total"] == 6
+    events = [e for e in client.events(job["id"]) if e["event"] == "progress"]
+    assert [(e["kind"], e["cells"]) for e in events] == [("capture", 3)] * 2
+    assert sum(e["cells"] for e in events) == final["cells_total"]
+    last = events[-1]
+    assert last["cells_done"] == 6
+    assert last["cells_simulated"] == 6
+    assert last["traces_captured"] == 4
+
+
 def test_invalid_specs_are_400(stack):
     _, _, client = stack
     with pytest.raises(ServiceError) as excinfo:
@@ -145,8 +166,9 @@ def test_failing_cell_fails_the_job_not_the_server(stack, monkeypatch):
         raise RuntimeError("synthetic cell failure")
 
     # The pool runs tasks inline (thread mode), so patching the function
-    # run_campaign dispatches is enough to break every cell of job 1.
-    monkeypatch.setattr("repro.campaign.core.execute_campaign_task", _explode)
+    # run_campaign dispatches (one task per workload group) is enough to
+    # break every cell of job 1.
+    monkeypatch.setattr("repro.campaign.core.execute_workload_group", _explode)
     job = client.submit(SPEC)
     final = client.wait(job["id"], timeout=180)
     assert final["state"] == "failed"

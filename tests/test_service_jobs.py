@@ -89,6 +89,21 @@ def test_progress_accounting_and_eta(job):
     assert "eta_seconds" in progress[0]
 
 
+def test_workload_group_progress_counts_every_cell_and_capture(job):
+    from repro.campaign.executors import execute_workload_group
+    from repro.service.manager import _progress_of
+
+    group = (("capture", "spec-a"), ("run", "spec-b"), ("capture", "spec-c"))
+    kind, cells, captures = _progress_of(execute_workload_group, group)
+    assert (kind, cells, captures) == ("capture", 3, 2)
+    assert _progress_of(execute_workload_group, (("run", "spec"),)) == ("run", 1, 0)
+    job.mark_running()
+    job.record_progress(kind, cells, captures)
+    assert job.cells_done == 3
+    assert job.cells_simulated == 3
+    assert job.traces_captured == 2
+
+
 def test_cached_cells_count_toward_progress(job):
     job.mark_running()
     job.record_cache_hits(2)
